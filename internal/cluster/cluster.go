@@ -79,10 +79,6 @@ type Config struct {
 	// outstanding per connection (0 = the fabric default). Ignored by the
 	// chan transport.
 	InFlight int
-	// SerialWire pins the TCP fabric's handshake window to the serial
-	// protocol generation (≤ v2), disabling request multiplexing — the
-	// transport ablation's baseline arm.
-	SerialWire bool
 	// MiniBatch and FlushSize pass through to the engine.
 	MiniBatch int
 	FlushSize int
@@ -301,9 +297,6 @@ func (c *Cluster) buildFabric(servers []comm.Server) (comm.Fabric, error) {
 		if c.cfg.InFlight > 0 {
 			t.SetInFlight(c.cfg.InFlight)
 		}
-		if c.cfg.SerialWire {
-			t.SetVersionWindow(comm.ProtoVersionMin, comm.ProtoVersionSerialMax)
-		}
 		fabric = t
 	default:
 		return nil, fmt.Errorf("%w %d", ErrUnknownTransport, c.cfg.Transport)
@@ -460,11 +453,6 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 		// traffic.
 		c.met.Reset()
 	}
-	threads := c.cfg.ThreadsPerSocket
-	if opts.ThreadsPerSocket > 0 {
-		threads = opts.ThreadsPerSocket
-	}
-
 	var labelOf plan.LabelFunc
 	if c.g.Labeled() {
 		labelOf = c.g.Label
@@ -501,7 +489,7 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 	// speculator stays inert when either is missing.
 	var spec *speculator
 	if c.cfg.Speculate && !c.cfg.SequentialNodes && trackers != nil {
-		spec = newSpeculator(c, pl, labelOf, edgeLabelOf)
+		spec = newSpeculator(c, pl, labelOf, edgeLabelOf, opts)
 		spec.fo = fo
 	}
 	var engines []*core.Engine
@@ -556,19 +544,11 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 			}
 			ext := core.NewPlanExtender(pl, labelOf)
 			ext.EdgeLabelOf = edgeLabelOf
-			eng := core.NewEngine(ext, src, sink, core.Config{
-				ChunkSize:      c.cfg.ChunkSize,
-				Threads:        threads,
-				MiniBatch:      c.cfg.MiniBatch,
-				FlushSize:      c.cfg.FlushSize,
-				HubThreshold:   c.cfg.HubThreshold,
-				HDS:            !c.cfg.DisableHDS,
-				StrictPipeline: c.cfg.StrictPipeline,
-				Cache:          ca,
-				Metrics:        c.met.Nodes[node],
-				OnRangeDone:    onRange,
-				Canceled:       canceled,
-			})
+			ecfg := c.engineConfig(opts, node)
+			ecfg.Cache = ca
+			ecfg.OnRangeDone = onRange
+			ecfg.Canceled = canceled
+			eng := newEngine(ext, src, sink, ecfg)
 			if c.cfg.SequentialNodes {
 				engines = append(engines, eng)
 				continue
@@ -639,7 +619,7 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 	if recovering {
 		// Serialized: concurrent runs must not race two fabric rebuilds.
 		c.recMu.Lock()
-		rec, err := c.recoverRun(pl, labelOf, edgeLabelOf, trackers, errs, fo, opts.Cancel)
+		rec, err := c.recoverRun(pl, labelOf, edgeLabelOf, trackers, errs, fo, opts)
 		c.recMu.Unlock()
 		if err != nil {
 			return Result{}, err
@@ -677,6 +657,34 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 		}
 	}
 	return res, nil
+}
+
+// newEngine constructs every engine a run starts — per-socket main engines,
+// recovery engines and speculative copies. It is core.NewEngine; tests
+// substitute it to observe the configurations engines receive.
+var newEngine = core.NewEngine
+
+// engineConfig is the core.Config every engine of a run starts from: the
+// cluster's engine knobs, node's metrics, and the run's per-socket worker
+// budget (RunOpts.ThreadsPerSocket, else Config.ThreadsPerSocket). Callers
+// add the per-engine hooks. Recovery engines and speculative copies span a
+// whole machine, so they scale Threads by the socket count — the budget
+// holds for them too.
+func (c *Cluster) engineConfig(opts RunOpts, node int) core.Config {
+	threads := c.cfg.ThreadsPerSocket
+	if opts.ThreadsPerSocket > 0 {
+		threads = opts.ThreadsPerSocket
+	}
+	return core.Config{
+		ChunkSize:      c.cfg.ChunkSize,
+		Threads:        threads,
+		MiniBatch:      c.cfg.MiniBatch,
+		FlushSize:      c.cfg.FlushSize,
+		HubThreshold:   c.cfg.HubThreshold,
+		HDS:            !c.cfg.DisableHDS,
+		StrictPipeline: c.cfg.StrictPipeline,
+		Metrics:        c.met.Nodes[node],
+	}
 }
 
 // Count runs a plan with counting sinks — the common case.

@@ -307,11 +307,13 @@ type recovery struct {
 // roots on survivors until none remain. Partial counts past a checkpoint are
 // deliberately discarded (they are not in the committed snapshots), which is
 // what keeps re-execution exact. fo is the failed run's failover snapshot
-// (its roots were computed under it); cancel, when closed, aborts recovery
-// — a query deadline or a drain hard-cancel must bound recovery rounds too,
-// not just the main run.
+// (its roots were computed under it). opts is the failed run's options:
+// recovery engines keep its worker budget, and its Cancel, when closed,
+// aborts recovery — a query deadline or a drain hard-cancel must bound
+// recovery rounds too, not just the main run.
 func (c *Cluster) recoverRun(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelOf plan.EdgeLabelFunc,
-	trackers []*rangeTracker, errs []error, fo *failover, cancel <-chan struct{}) (recovery, error) {
+	trackers []*rangeTracker, errs []error, fo *failover, opts RunOpts) (recovery, error) {
+	cancel := opts.Cancel
 	var rec recovery
 	var pending []graph.VertexID
 	for slot, tr := range trackers {
@@ -333,7 +335,7 @@ func (c *Cluster) recoverRun(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelOf 
 				ErrRecoveryStalled, maxRecoveryRounds, len(pending))
 		}
 		var err error
-		pending, err = c.recoveryRound(pl, labelOf, edgeLabelOf, &rec, pending, cancel)
+		pending, err = c.recoveryRound(pl, labelOf, edgeLabelOf, &rec, pending, opts)
 		if err != nil {
 			return rec, err
 		}
@@ -352,7 +354,8 @@ func (c *Cluster) recoverRun(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelOf 
 // fresh fabric stack (sharing the fault injector's state and prior dead
 // verdicts), and return the roots still unfinished after this round.
 func (c *Cluster) recoveryRound(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelOf plan.EdgeLabelFunc,
-	rec *recovery, pending []graph.VertexID, cancel <-chan struct{}) ([]graph.VertexID, error) {
+	rec *recovery, pending []graph.VertexID, opts RunOpts) ([]graph.VertexID, error) {
+	cancel := opts.Cancel
 	dead := c.deadNodes()
 	fo := newFailover(c.asg, dead)
 	if len(fo.alive) == 0 {
@@ -417,20 +420,13 @@ func (c *Cluster) recoveryRound(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabel
 		if cancel != nil {
 			canceled = func() bool { return chanClosed(cancel) }
 		}
-		eng := core.NewEngine(ext, &recoverySource{
+		ecfg := c.engineConfig(opts, node)
+		ecfg.Threads *= c.cfg.Sockets // one engine spans the whole machine
+		ecfg.OnRangeDone = tr.onRangeDone
+		ecfg.Canceled = canceled
+		eng := newEngine(ext, &recoverySource{
 			g: c.g, fo: fo, node: node, roots: assigned[i], fabric: fabric, cancel: cancel,
-		}, sink, core.Config{
-			ChunkSize:      c.cfg.ChunkSize,
-			Threads:        c.cfg.Sockets * c.cfg.ThreadsPerSocket,
-			MiniBatch:      c.cfg.MiniBatch,
-			FlushSize:      c.cfg.FlushSize,
-			HubThreshold:   c.cfg.HubThreshold,
-			HDS:            !c.cfg.DisableHDS,
-			StrictPipeline: c.cfg.StrictPipeline,
-			Metrics:        c.met.Nodes[node],
-			OnRangeDone:    tr.onRangeDone,
-			Canceled:       canceled,
-		})
+		}, sink, ecfg)
 		if c.cfg.SequentialNodes {
 			errs[i] = eng.Run()
 			continue

@@ -105,6 +105,8 @@ type speculator struct {
 	// fo is the failover snapshot the run launched with (nil before any
 	// node has ever died); root lists must match the main engines'.
 	fo *failover
+	// opts is the run's options; copies keep its worker budget.
+	opts RunOpts
 
 	slots  int
 	cancel []atomic.Bool // straggler-side cancel flags, polled via Canceled
@@ -129,7 +131,7 @@ type speculator struct {
 	wg       sync.WaitGroup
 }
 
-func newSpeculator(c *Cluster, pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelOf plan.EdgeLabelFunc) *speculator {
+func newSpeculator(c *Cluster, pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelOf plan.EdgeLabelFunc, opts RunOpts) *speculator {
 	slots := c.cfg.NumNodes * c.cfg.Sockets
 	cancelCh := make([]chan struct{}, slots)
 	for i := range cancelCh {
@@ -140,6 +142,7 @@ func newSpeculator(c *Cluster, pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelO
 		pl:          pl,
 		labelOf:     labelOf,
 		edgeLabelOf: edgeLabelOf,
+		opts:        opts,
 		slots:       slots,
 		cancel:      make([]atomic.Bool, slots),
 		cancelCh:    cancelCh,
@@ -317,24 +320,17 @@ func (s *speculator) runSpec(sp *specRun, suffix []graph.VertexID) {
 	if fo == nil {
 		fo = newFailover(s.c.asg, nil)
 	}
-	eng := core.NewEngine(ext, &recoverySource{
+	ecfg := s.c.engineConfig(s.opts, sp.node)
+	ecfg.Threads *= s.c.cfg.Sockets // one copy spans the whole machine
+	ecfg.OnRangeDone = sp.tracker.onRangeDone
+	ecfg.Canceled = sp.cancel.Load
+	eng := newEngine(ext, &recoverySource{
 		g:      s.c.g,
 		fo:     fo,
 		node:   sp.node,
 		roots:  suffix,
 		fabric: s.c.fabric,
-	}, sp.tracker.sink, core.Config{
-		ChunkSize:      s.c.cfg.ChunkSize,
-		Threads:        s.c.cfg.Sockets * s.c.cfg.ThreadsPerSocket,
-		MiniBatch:      s.c.cfg.MiniBatch,
-		FlushSize:      s.c.cfg.FlushSize,
-		HubThreshold:   s.c.cfg.HubThreshold,
-		HDS:            !s.c.cfg.DisableHDS,
-		StrictPipeline: s.c.cfg.StrictPipeline,
-		Metrics:        s.c.met.Nodes[sp.node],
-		OnRangeDone:    sp.tracker.onRangeDone,
-		Canceled:       sp.cancel.Load,
-	})
+	}, sp.tracker.sink, ecfg)
 	sp.err = eng.Run()
 	close(sp.done)
 	s.mu.Lock()

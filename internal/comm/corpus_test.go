@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"khuzdul/internal/graph"
@@ -21,73 +22,73 @@ import (
 //	KHUZDUL_WRITE_FUZZ_CORPUS=1 go test ./internal/comm -run TestWriteFuzzCorpus
 //
 // Without the environment variable it verifies the committed files instead,
-// so the corpus can never silently drift from the frame layout.
+// so the corpus can never silently drift from the frame layout, and fails on
+// a committed seed file no generator produces (regeneration deletes those).
 
 // corpusSeeds builds every seed, keyed by fuzz target and seed name.
 func corpusSeeds() map[string]map[string][]byte {
-	frame := func(version, typ uint8, payload []byte) []byte {
+	frame := func(typ uint8, payload []byte) []byte {
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		writeFrame(w, version, typ, payload, -1)
+		writeFrame(w, typ, payload, -1)
 		w.Flush()
 		return buf.Bytes()
 	}
 	ids := encodeIDs(nil, []graph.VertexID{1, 2, 3, 0xFFFFFFFF})
 	lists := encodeLists(nil, [][]graph.VertexID{{1, 2}, {}, {3, 4, 5}})
 
-	request := frame(1, frameRequest, ids)
-	crcFlip := append([]byte(nil), request...)
+	// Multiplexed frames: request-ID-prefixed payloads, plus the hostile
+	// shapes around the prefix (missing ID, frame truncated mid-payload).
+	muxRequest := frame(frameMuxRequest, encodeMuxIDs(nil, 42, []graph.VertexID{1, 2, 3}))
+	muxResponse := frame(frameMuxResponse, encodeMuxLists(nil, 42, [][]graph.VertexID{{1, 2}, {}, {3, 4, 5}}))
+	muxError := frame(frameMuxError, binary.LittleEndian.AppendUint32(nil, 42))
+	muxMissingID := frame(frameMuxRequest, []byte{0x2A})
+
+	crcFlip := append([]byte(nil), muxRequest...)
 	crcFlip[len(crcFlip)-1] ^= 0xFF // payload no longer matches header CRC
-	badVersion := frame(1, framePing, nil)
-	badVersion[2] = 0x63 // outside the supported window
-	badType := frame(1, framePing, nil)
+	badVersion := frame(framePing, nil)
+	badVersion[2] = 0x63 // not protoVersion
+	badType := frame(framePing, nil)
 	badType[3] = 0x7F // type above frameTypeMax
-	hugePayload := frame(1, framePing, nil)
+	hugePayload := frame(framePing, nil)
 	binary.LittleEndian.PutUint32(hugePayload[4:], maxFramePayload+1)
-	badMagic := frame(1, framePing, nil)
+	badMagic := frame(framePing, nil)
 	badMagic[0] = 0x00
 
 	idsTruncated := append([]byte(nil), ids[:len(ids)-3]...)
 	idsLyingCount := binary.LittleEndian.AppendUint32(nil, maxFrameEntries+1)
 	idsTrailing := append(encodeIDs(nil, []graph.VertexID{7}), 0xEE)
 
-	// v3 multiplexed frames: request-ID-prefixed payloads, plus the hostile
-	// shapes around the prefix (missing ID, frame truncated mid-payload).
-	muxRequest := frame(ProtoVersionMux, frameMuxRequest, encodeMuxIDs(nil, 42, []graph.VertexID{1, 2, 3}))
-	muxResponse := frame(ProtoVersionMux, frameMuxResponse, encodeMuxLists(nil, 42, [][]graph.VertexID{{1, 2}, {}, {3, 4, 5}}))
-	muxError := frame(ProtoVersionMux, frameMuxError, binary.LittleEndian.AppendUint32(nil, 42))
-	muxMissingID := frame(ProtoVersionMux, frameMuxRequest, []byte{0x2A})
-
-	// Query-plane frames (v3): the service protocol's four message types,
+	// Query-plane frames: the service protocol's four message types,
 	// plus the hostile shapes the codecs must reject (a spec-length prefix
 	// that lies about the payload, a result truncated mid-fixed-header).
-	querySubmit := frame(ProtoVersionMux, frameQuerySubmit,
+	querySubmit := frame(frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 7, Spec: "triangle"}))
-	querySubmitRef := frame(ProtoVersionMux, frameQuerySubmit,
+	querySubmitRef := frame(frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 8, Kind: QueryPlanRef, PlanID: 3}))
-	queryProgress := frame(ProtoVersionMux, frameQueryProgress,
+	queryProgress := frame(frameQueryProgress,
 		encodeQueryProgress(nil, &QueryProgress{ID: 7, Partial: 12345}))
-	queryResult := frame(ProtoVersionMux, frameQueryResult,
+	queryResult := frame(frameQueryResult,
 		encodeQueryResult(nil, &QueryResult{ID: 7, Status: QueryOK, PlanID: 1, Count: 99, Elapsed: 1500000}))
-	queryRejected := frame(ProtoVersionMux, frameQueryResult,
+	queryRejected := frame(frameQueryResult,
 		encodeQueryResult(nil, &QueryResult{ID: 9, Status: QueryRejected, Detail: "admission window full"}))
-	queryCancel := frame(ProtoVersionMux, frameQueryCancel, encodeQueryCancel(nil, 7))
-	querySubmitDeadline := frame(ProtoVersionMux, frameQuerySubmit,
+	queryCancel := frame(frameQueryCancel, encodeQueryCancel(nil, 7))
+	querySubmitDeadline := frame(frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 9, Spec: "triangle", Deadline: 5e9}))
-	submitLyingSpec := frame(ProtoVersionMux, frameQuerySubmit,
+	submitLyingSpec := frame(frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 7, Spec: "triangle"})[:querySubmitFixed+2])
-	resultTruncated := frame(ProtoVersionMux, frameQueryResult,
+	resultTruncated := frame(frameQueryResult,
 		encodeQueryResult(nil, &QueryResult{ID: 7})[:queryResultFixed-4])
 
 	// QUERY_HEALTH in both directions (the empty probe and a populated
 	// report), plus the hostile shapes: a suspect-count prefix that lies
 	// about the payload and a report truncated mid-fixed-header.
-	queryHealthProbe := frame(ProtoVersionMux, frameQueryHealth, nil)
-	queryHealthReport := frame(ProtoVersionMux, frameQueryHealth,
+	queryHealthProbe := frame(frameQueryHealth, nil)
+	queryHealthReport := frame(frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Draining: true, ActiveQueries: 2, Window: 4, Submitted: 17, DeadlineExceeded: 1, Suspects: []uint32{1, 3}}))
-	healthLyingSuspects := frame(ProtoVersionMux, frameQueryHealth,
+	healthLyingSuspects := frame(frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Window: 4, Suspects: []uint32{2}})[:queryHealthFixed])
-	healthTruncated := frame(ProtoVersionMux, frameQueryHealth,
+	healthTruncated := frame(frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Window: 4})[:queryHealthFixed-5])
 	// Self-consistent report announcing more suspects than the cap: the
 	// length prefix is honest, so only the maxHealthSuspects clamp rejects it.
@@ -95,7 +96,7 @@ func corpusSeeds() map[string]map[string][]byte {
 	for i := range oversized {
 		oversized[i] = uint32(i)
 	}
-	healthOversizedSuspects := frame(ProtoVersionMux, frameQueryHealth,
+	healthOversizedSuspects := frame(frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Window: 4, Suspects: oversized}))
 
 	listsTruncated := append([]byte(nil), lists[:len(lists)-2]...)
@@ -105,13 +106,11 @@ func corpusSeeds() map[string]map[string][]byte {
 
 	return map[string]map[string][]byte{
 		"FuzzReadFrame": {
-			"valid-ping":         frame(1, framePing, nil),
-			"valid-request":      request,
-			"valid-response":     frame(1, frameResponse, lists),
-			"valid-hello":        frame(1, frameHello, encodeHello(ProtoVersionMin, ProtoVersionMax, 3)),
+			"valid-ping":         frame(framePing, nil),
+			"valid-hello":        frame(frameHello, encodeHello(protoVersion, protoVersion, 3)),
 			"crc-flip":           crcFlip,
-			"truncated-header":   request[:frameHeaderSize/2],
-			"truncated-payload":  request[:frameHeaderSize+2],
+			"truncated-header":   muxRequest[:frameHeaderSize/2],
+			"truncated-payload":  muxRequest[:frameHeaderSize+2],
 			"version-mismatch":   badVersion,
 			"unknown-frame-type": badType,
 			"huge-payload-claim": hugePayload,
@@ -175,6 +174,24 @@ func TestWriteFuzzCorpus(t *testing.T) {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
+		}
+		// A committed seed no generator produces is an orphan: it would keep
+		// fuzzing a frame shape the corpus no longer vouches for.
+		committed, err := filepath.Glob(filepath.Join(dir, "seed-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range committed {
+			if _, ok := seeds[strings.TrimPrefix(filepath.Base(path), "seed-")]; ok {
+				continue
+			}
+			if write {
+				if err := os.Remove(path); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			t.Errorf("committed seed %s has no generator; regenerate with KHUZDUL_WRITE_FUZZ_CORPUS=1", path)
 		}
 		for name, data := range seeds {
 			path := filepath.Join(dir, "seed-"+name)

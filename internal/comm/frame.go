@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"sync"
+	"time"
 
 	"khuzdul/internal/graph"
 )
@@ -17,28 +19,24 @@ import (
 //
 //	offset  size  field
 //	0       2     magic 0x4B48 ("KH", little-endian on the wire)
-//	2       1     protocol version (negotiated per connection)
+//	2       1     protocol version (always protoVersion)
 //	3       1     frame type
 //	4       4     payload length (u32)
 //	8       4     CRC32C (Castagnoli) of the payload
 //	12      …     payload
 //
 // A connection opens with a handshake: the client sends a HELLO frame whose
-// payload carries its supported version window [min,max] plus its node ID;
-// the server picks the highest version both sides support and answers with a
-// HELLO_ACK carrying the choice (or closes the connection when the windows
-// do not overlap). All subsequent frames on the connection carry the
-// negotiated version, and a mismatched magic, version, type, oversized
-// length or CRC failure surfaces as ErrCorruptFrame — a retryable error —
-// instead of silently mis-parsed edge lists.
+// payload carries the version window [min,max] it speaks plus its node ID;
+// the server answers with a HELLO_ACK carrying protoVersion when the window
+// contains it, and closes the connection otherwise. The data plane and the
+// query plane run the same handshake (clientHello/serverHello). A mismatched
+// magic, version, type, oversized length or CRC failure surfaces as
+// ErrCorruptFrame — a retryable error — instead of silently mis-parsed edge
+// lists.
 //
-// Protocol generations. Versions 1 and 2 speak the serial exchange: one
-// request/response pair at a time per connection, responses in request
-// order. Version 3 multiplexes: MUX_REQUEST/MUX_RESPONSE/MUX_ERROR frames
+// The exchange is multiplexed: MUX_REQUEST/MUX_RESPONSE/MUX_ERROR frames
 // prefix their payload with a u32 request ID, so many exchanges can be in
-// flight on one connection and responses may return out of order. The
-// handshake keeps mixed clusters honest — a peer capped at the serial
-// generation negotiates ≤2 and both sides fall back to the serial exchange.
+// flight on one connection and responses may return out of order (mux.go).
 //
 // The frame header is genuine wire overhead, but traffic accounting keeps
 // quoting the paper's payload formulas (RequestBytes/ResponseBytes) so
@@ -49,21 +47,16 @@ import (
 // on a fresh connection may succeed.
 var ErrCorruptFrame = errors.New("comm: corrupt frame")
 
-// ErrVersionMismatch marks a handshake whose version windows do not overlap.
+// ErrVersionMismatch marks a handshake whose version window excludes
+// protoVersion.
 var ErrVersionMismatch = errors.New("comm: protocol version mismatch")
 
 const (
 	frameMagic = 0x4B48 // "KH"
 
-	// ProtoVersionMin..ProtoVersionMax is the version window this build
-	// speaks. Versions up to ProtoVersionSerialMax use the serial exchange;
-	// ProtoVersionMux adds request multiplexing. The handshake keeps old and
-	// new builds interoperable: the negotiated version selects the exchange
-	// discipline on both sides of the connection.
-	ProtoVersionMin       = 1
-	ProtoVersionSerialMax = 2
-	ProtoVersionMux       = 3
-	ProtoVersionMax       = ProtoVersionMux
+	// protoVersion is the one wire protocol this build speaks: the
+	// request-multiplexed exchange. Every frame header carries it.
+	protoVersion = 3
 
 	frameHeaderSize = 12
 
@@ -86,20 +79,21 @@ const MaxWireLen = 1 << 29
 // Frame types.
 const (
 	frameHello    = 0x01 // client → server: version window + client node ID
-	frameHelloAck = 0x02 // server → client: chosen version
-	frameRequest  = 0x03 // edge-list request: u32 count + count u32 IDs
-	frameResponse = 0x04 // edge-list response: u32 count + per list (u32 len + vertices)
-	framePing     = 0x05 // heartbeat probe (empty payload)
-	framePong     = 0x06 // heartbeat reply (empty payload)
-	frameError    = 0x07 // connection-level rejection (e.g. corrupt request); empty payload
+	frameHelloAck = 0x02 // server → client: protoVersion
+	// 0x03 and 0x04 are retired (an earlier serial exchange's REQUEST and
+	// RESPONSE) and never reused: a frame carrying them is a wrong-plane
+	// violation like any other.
+	framePing  = 0x05 // heartbeat probe (empty payload)
+	framePong  = 0x06 // heartbeat reply (empty payload)
+	frameError = 0x07 // connection-level rejection (e.g. corrupt request); empty payload
 
-	// v3 multiplexed exchange: payloads carry a u32 request ID prefix so the
+	// Multiplexed exchange: payloads carry a u32 request ID prefix so the
 	// CRC covers it, followed by the canonical request/response payload.
 	frameMuxRequest  = 0x08 // edge-list request: u32 request ID + IDs payload
 	frameMuxResponse = 0x09 // edge-list response: u32 request ID + lists payload
 	frameMuxError    = 0x0A // per-request rejection: u32 request ID (CRC-valid but malformed request)
 
-	// Query-service frames (v3+ only; see query.go for the payload codecs).
+	// Query-service frames (see query.go for the payload codecs).
 	// The query plane rides the same framed wire as edge-list traffic: a
 	// client submits pattern queries by ID and the server streams progress
 	// and a final result per query, many queries in flight per connection.
@@ -119,10 +113,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // writeFrame emits one frame. corruptByte, when non-negative, XOR-flips the
 // payload byte at that index AFTER the CRC is computed — the fault
 // injector's hook for exercising real end-to-end corruption detection.
-func writeFrame(w *bufio.Writer, version, typ uint8, payload []byte, corruptByte int) error {
+func writeFrame(w *bufio.Writer, typ uint8, payload []byte, corruptByte int) error {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint16(hdr[0:], frameMagic)
-	hdr[2] = version
+	hdr[2] = protoVersion
 	hdr[3] = typ
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(payload, castagnoli))
@@ -140,23 +134,21 @@ func writeFrame(w *bufio.Writer, version, typ uint8, payload []byte, corruptByte
 	return err
 }
 
-// readFrame reads and integrity-checks one frame. wantVersion 0 accepts any
-// version in the supported window (used for the handshake, which runs before
-// negotiation); otherwise the header must carry exactly wantVersion. The
-// returned payload aliases a fresh buffer.
-func readFrame(r *bufio.Reader, wantVersion uint8) (typ uint8, payload []byte, err error) {
-	return readFrameAlloc(r, wantVersion, freshPayload)
+// readFrame reads and integrity-checks one frame; the header must carry
+// protoVersion. The returned payload aliases a fresh buffer.
+func readFrame(r *bufio.Reader) (typ uint8, payload []byte, err error) {
+	return readFrameAlloc(r, freshPayload)
 }
 
 // readFramePooled is readFrame with the payload drawn from payloadPool. The
 // caller owns the buffer and returns it with putPayloadBuf once decoded.
-func readFramePooled(r *bufio.Reader, wantVersion uint8) (typ uint8, payload []byte, err error) {
-	return readFrameAlloc(r, wantVersion, getPayloadBuf)
+func readFramePooled(r *bufio.Reader) (typ uint8, payload []byte, err error) {
+	return readFrameAlloc(r, getPayloadBuf)
 }
 
 func freshPayload(n int) []byte { return make([]byte, n) }
 
-func readFrameAlloc(r *bufio.Reader, wantVersion uint8, alloc func(int) []byte) (typ uint8, payload []byte, err error) {
+func readFrameAlloc(r *bufio.Reader, alloc func(int) []byte) (typ uint8, payload []byte, err error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -164,13 +156,8 @@ func readFrameAlloc(r *bufio.Reader, wantVersion uint8, alloc func(int) []byte) 
 	if m := binary.LittleEndian.Uint16(hdr[0:]); m != frameMagic {
 		return 0, nil, fmt.Errorf("bad magic %#04x: %w", m, ErrCorruptFrame)
 	}
-	v := hdr[2]
-	if wantVersion == 0 {
-		if v < ProtoVersionMin || v > ProtoVersionMax {
-			return 0, nil, fmt.Errorf("unsupported version %d: %w", v, ErrCorruptFrame)
-		}
-	} else if v != wantVersion {
-		return 0, nil, fmt.Errorf("version %d on a v%d connection: %w", v, wantVersion, ErrCorruptFrame)
+	if v := hdr[2]; v != protoVersion {
+		return 0, nil, fmt.Errorf("version %d frame, want %d: %w", v, protoVersion, ErrCorruptFrame)
 	}
 	typ = hdr[3]
 	if typ < frameHello || typ > frameTypeMax {
@@ -194,7 +181,8 @@ func readFrameAlloc(r *bufio.Reader, wantVersion uint8, alloc func(int) []byte) 
 	return typ, payload, nil
 }
 
-// Handshake payloads.
+// Handshake. Both planes — fabric connections and query connections — open
+// with the same exchange, so one helper pair serves both.
 
 // encodeHello builds the HELLO payload: [minVersion, maxVersion, nodeID u32].
 func encodeHello(minVer, maxVer uint8, node int) []byte {
@@ -213,21 +201,72 @@ func decodeHello(p []byte) (minVer, maxVer uint8, node int, err error) {
 	return p[0], p[1], int(binary.LittleEndian.Uint32(p[2:])), nil
 }
 
-// negotiateVersion picks the highest version inside both windows, or 0 when
-// the windows do not overlap.
-func negotiateVersion(aMin, aMax, bMin, bMax uint8) uint8 {
-	hi := aMax
-	if bMax < hi {
-		hi = bMax
+// setDeadline arms a read or write deadline d from now, or clears it when d
+// is 0 (deadlines disabled).
+func setDeadline(set func(time.Time) error, d time.Duration) {
+	if d > 0 {
+		set(time.Now().Add(d))
+		return
 	}
-	lo := aMin
-	if bMin > lo {
-		lo = bMin
+	set(time.Time{})
+}
+
+// clientHello runs the client half of the handshake on a fresh connection:
+// it offers the window [protoVersion, protoVersion] as node and waits for
+// the server's ack. timeout bounds each socket operation (0 disables). The
+// read deadline is cleared on return.
+func clientHello(c net.Conn, r *bufio.Reader, w *bufio.Writer, node int, timeout time.Duration) error {
+	setDeadline(c.SetWriteDeadline, timeout)
+	if err := writeFrame(w, frameHello, encodeHello(protoVersion, protoVersion, node), -1); err != nil {
+		return err
 	}
-	if hi < lo {
-		return 0
+	if err := w.Flush(); err != nil {
+		return err
 	}
-	return hi
+	setDeadline(c.SetReadDeadline, timeout)
+	typ, payload, err := readFrame(r)
+	c.SetReadDeadline(time.Time{})
+	if err != nil {
+		// The server closes without an ack when it cannot speak our version.
+		return fmt.Errorf("%w (%v)", ErrVersionMismatch, err)
+	}
+	if typ != frameHelloAck || len(payload) != 1 {
+		return fmt.Errorf("bad hello ack: %w", ErrCorruptFrame)
+	}
+	if payload[0] != protoVersion {
+		return fmt.Errorf("server chose version %d: %w", payload[0], ErrVersionMismatch)
+	}
+	return nil
+}
+
+// serverHello runs the server half of the handshake on an accepted
+// connection: it reads the client's HELLO and acks protoVersion when the
+// client's window contains it. A window that excludes it is
+// ErrVersionMismatch, answered by no ack — the caller closes the connection.
+// timeout bounds each socket operation (0 disables). The read deadline is
+// cleared on return.
+func serverHello(c net.Conn, r *bufio.Reader, w *bufio.Writer, timeout time.Duration) error {
+	setDeadline(c.SetReadDeadline, timeout)
+	typ, payload, err := readFrame(r)
+	c.SetReadDeadline(time.Time{})
+	if err != nil {
+		return err
+	}
+	if typ != frameHello {
+		return fmt.Errorf("frame %#02x where HELLO expected: %w", typ, ErrCorruptFrame)
+	}
+	lo, hi, _, err := decodeHello(payload)
+	if err != nil {
+		return err
+	}
+	if lo > protoVersion || hi < protoVersion {
+		return fmt.Errorf("peer window [%d,%d] excludes version %d: %w", lo, hi, protoVersion, ErrVersionMismatch)
+	}
+	setDeadline(c.SetWriteDeadline, timeout)
+	if err := writeFrame(w, frameHelloAck, []byte{protoVersion}, -1); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 // Payload codecs. The request payload is u32 count + count u32 IDs; the
@@ -328,23 +367,22 @@ func decodeLists(p []byte) ([][]graph.VertexID, error) {
 	return lists, nil
 }
 
-// Multiplexed (v3) payload helpers. The request ID rides inside the payload
-// rather than the header so the CRC covers it and the frame layout stays
-// identical across protocol versions.
+// Multiplexed payload helpers. The request ID rides inside the payload
+// rather than the header so the CRC covers it.
 
-// encodeMuxIDs appends the v3 request payload: request ID + IDs payload.
+// encodeMuxIDs appends the request payload: request ID + IDs payload.
 func encodeMuxIDs(buf []byte, id uint32, ids []graph.VertexID) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, id)
 	return encodeIDs(buf, ids)
 }
 
-// encodeMuxLists appends the v3 response payload: request ID + lists payload.
+// encodeMuxLists appends the response payload: request ID + lists payload.
 func encodeMuxLists(buf []byte, id uint32, lists [][]graph.VertexID) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, id)
 	return encodeLists(buf, lists)
 }
 
-// muxID splits a v3 payload into its request ID and the inner payload.
+// muxID splits a mux payload into its request ID and the inner payload.
 func muxID(p []byte) (id uint32, rest []byte, err error) {
 	if len(p) < 4 {
 		return 0, nil, fmt.Errorf("comm: mux payload %d bytes, want request ID: %w", len(p), ErrCorruptFrame)

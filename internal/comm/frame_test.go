@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"khuzdul/internal/graph"
 	"khuzdul/internal/leakcheck"
@@ -19,18 +21,18 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, p := range payloads {
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		if err := writeFrame(w, 1, frameRequest, p, -1); err != nil {
+		if err := writeFrame(w, frameMuxRequest, p, -1); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		typ, got, err := readFrame(bufio.NewReader(&buf), 1)
+		typ, got, err := readFrame(bufio.NewReader(&buf))
 		if err != nil {
 			t.Fatalf("readFrame(%d-byte payload): %v", len(p), err)
 		}
-		if typ != frameRequest || !bytes.Equal(got, p) {
-			t.Fatalf("round trip: type %#02x, %d bytes, want %#02x, %d", typ, len(got), frameRequest, len(p))
+		if typ != frameMuxRequest || !bytes.Equal(got, p) {
+			t.Fatalf("round trip: type %#02x, %d bytes, want %#02x, %d", typ, len(got), frameMuxRequest, len(p))
 		}
 	}
 }
@@ -40,14 +42,14 @@ func TestFrameCorruptionDetected(t *testing.T) {
 	orig := append([]byte(nil), payload...)
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := writeFrame(w, 1, frameResponse, payload, 3); err != nil {
+	if err := writeFrame(w, frameMuxResponse, payload, 3); err != nil {
 		t.Fatal(err)
 	}
 	w.Flush()
 	if !bytes.Equal(payload, orig) {
 		t.Fatal("writeFrame did not restore the caller's buffer after corrupting")
 	}
-	_, _, err := readFrame(bufio.NewReader(&buf), 1)
+	_, _, err := readFrame(bufio.NewReader(&buf))
 	if !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("corrupted payload read as %v, want ErrCorruptFrame", err)
 	}
@@ -59,7 +61,7 @@ func TestFrameHeaderValidation(t *testing.T) {
 	mk := func(mutate func(hdr []byte)) []byte {
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		writeFrame(w, 1, framePing, nil, -1)
+		writeFrame(w, framePing, nil, -1)
 		w.Flush()
 		b := buf.Bytes()
 		mutate(b)
@@ -71,7 +73,10 @@ func TestFrameHeaderValidation(t *testing.T) {
 	}{
 		{"bad magic", func(b []byte) { b[0] = 0xFF }},
 		{"zero version", func(b []byte) { b[2] = 0 }},
-		{"future version", func(b []byte) { b[2] = ProtoVersionMax + 1 }},
+		{"future version", func(b []byte) { b[2] = protoVersion + 1 }},
+		// The handshake agrees on protoVersion, so a frame from the retired
+		// serial generation is wrong for the connection.
+		{"wrong negotiated version", func(b []byte) { b[2] = protoVersion - 1 }},
 		{"zero type", func(b []byte) { b[3] = 0 }},
 		{"unknown type", func(b []byte) { b[3] = frameTypeMax + 1 }},
 		{"oversized length", func(b []byte) { binary.LittleEndian.PutUint32(b[4:], maxFramePayload+1) }},
@@ -79,37 +84,11 @@ func TestFrameHeaderValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := readFrame(bufio.NewReader(bytes.NewReader(mk(tc.mutate))), 1)
+			_, _, err := readFrame(bufio.NewReader(bytes.NewReader(mk(tc.mutate))))
 			if !errors.Is(err, ErrCorruptFrame) {
 				t.Fatalf("got %v, want ErrCorruptFrame", err)
 			}
 		})
-	}
-	t.Run("wrong negotiated version", func(t *testing.T) {
-		// Version inside the window but not the one this connection agreed on.
-		_, _, err := readFrame(bufio.NewReader(bytes.NewReader(mk(func([]byte) {}))), ProtoVersionMax+3)
-		if !errors.Is(err, ErrCorruptFrame) {
-			t.Fatalf("got %v, want ErrCorruptFrame", err)
-		}
-	})
-}
-
-func TestNegotiateVersion(t *testing.T) {
-	cases := []struct {
-		aMin, aMax, bMin, bMax, want uint8
-	}{
-		{1, 1, 1, 1, 1},
-		{1, 3, 2, 5, 3},
-		{2, 5, 1, 3, 3},
-		{1, 2, 3, 4, 0}, // disjoint
-		{3, 4, 1, 2, 0}, // disjoint, other side
-		{1, 9, 4, 4, 4},
-	}
-	for _, tc := range cases {
-		if got := negotiateVersion(tc.aMin, tc.aMax, tc.bMin, tc.bMax); got != tc.want {
-			t.Fatalf("negotiate([%d,%d],[%d,%d]) = %d, want %d",
-				tc.aMin, tc.aMax, tc.bMin, tc.bMax, got, tc.want)
-		}
 	}
 }
 
@@ -171,27 +150,60 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestTCPVersionMismatch: a HELLO whose version window excludes protoVersion
+// — here the retired serial generation [1,2], and a future-only [4,5] — is
+// refused on the fabric plane: the fabric closes the connection without an
+// ack, and a client seeing that reports ErrVersionMismatch. (The query-plane
+// twin, TestQueryConnRejectsSerialPeer, checks the server's classification.)
 func TestTCPVersionMismatch(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.Path(8)
 	asg := partition.NewAssignment(2, 1)
-	srv, err := NewTCP(testServers(g, asg), nil)
+	f, err := NewTCP(testServers(g, asg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer f.Close()
+	for _, win := range [][2]uint8{{1, 2}, {protoVersion + 1, protoVersion + 2}} {
+		// The fabric's own server half refuses the window: no ack arrives.
+		c, err := net.Dial("tcp", f.addrs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, w := bufio.NewReader(c), bufio.NewWriter(c)
+		if err := writeFrame(w, frameHello, encodeHello(win[0], win[1], 0), -1); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if typ, _, err := readFrame(r); err == nil {
+			t.Fatalf("window %v: server answered frame %#02x, want a closed connection", win, typ)
+		}
+		c.Close()
+	}
+
+	// A client whose peer closes instead of acking reports the mismatch.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			readFrame(bufio.NewReader(c)) // the HELLO
+			c.Close()
+		}
+	}()
 	cli, err := NewTCP(testServers(g, asg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	// Point the client at the server fabric and make it speak a future
-	// protocol generation only.
-	cli.addrs = srv.addrs
-	cli.minVer, cli.maxVer = ProtoVersionMax+1, ProtoVersionMax+3
-	_, err = cli.Fetch(0, 1, []graph.VertexID{1})
-	if !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("got %v, want ErrVersionMismatch", err)
+	cli.addrs[1] = ln.Addr().String()
+	if _, err := cli.Fetch(0, 1, []graph.VertexID{1}); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("fetch from a refusing peer: %v, want ErrVersionMismatch", err)
 	}
 }
 

@@ -59,19 +59,19 @@ func FuzzReadFrame(f *testing.F) {
 	valid := func(typ uint8, payload []byte) []byte {
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		writeFrame(w, 1, typ, payload, -1)
+		writeFrame(w, typ, payload, -1)
 		w.Flush()
 		return buf.Bytes()
 	}
 	f.Add([]byte(nil))
 	f.Add(valid(framePing, nil))
-	f.Add(valid(frameRequest, encodeIDs(nil, []graph.VertexID{1, 2, 3})))
-	f.Add(valid(frameHello, encodeHello(ProtoVersionMin, ProtoVersionMax, 0)))
+	f.Add(valid(frameHello, encodeHello(protoVersion, protoVersion, 0)))
+	f.Add(valid(frameHello, encodeHello(1, 2, 0))) // a window excluding protoVersion
 	f.Add(valid(frameMuxRequest, encodeMuxIDs(nil, 42, []graph.VertexID{1, 2, 3})))
 	f.Add(valid(frameMuxResponse, encodeMuxLists(nil, 42, [][]graph.VertexID{{1, 2}, {}})))
 	f.Add(valid(frameMuxError, binary.LittleEndian.AppendUint32(nil, 42)))
 	f.Add(valid(frameMuxRequest, []byte{0x2A})) // truncated: shorter than a request ID
-	// Query-plane frames (v3): submissions, progress, results, cancels,
+	// Query-plane frames: submissions, progress, results, cancels,
 	// health probes/reports, and a submit whose spec-length prefix lies
 	// about the payload.
 	f.Add(valid(frameQuerySubmit, encodeQuerySubmit(nil, &QuerySubmit{ID: 7, Spec: "triangle"})))
@@ -88,7 +88,7 @@ func FuzzReadFrame(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[4:], maxFramePayload+1)
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := readFrame(bufio.NewReader(bytes.NewReader(data)), 0)
+		typ, payload, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			ok := errors.Is(err, ErrCorruptFrame) ||
 				errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
@@ -103,7 +103,7 @@ func FuzzReadFrame(f *testing.F) {
 		// An accepted frame must re-serialize to a prefix of the input.
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		writeFrame(w, data[2], typ, payload, -1)
+		writeFrame(w, typ, payload, -1)
 		w.Flush()
 		if !bytes.Equal(buf.Bytes(), data[:len(buf.Bytes())]) {
 			t.Fatal("accepted frame does not round-trip")

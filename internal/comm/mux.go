@@ -14,9 +14,9 @@ import (
 	"khuzdul/internal/metrics"
 )
 
-// Request multiplexing (protocol v3). A serial connection head-of-line
-// blocks: concurrent fetches to the same peer queue behind tcpConn.mu even
-// though the engine's circulant schedule deliberately overlaps them. A v3
+// Request multiplexing. The engine's circulant schedule deliberately
+// overlaps concurrent fetches to the same peer, and a connection that
+// carried one exchange at a time would head-of-line block them. A fetch
 // connection instead runs two goroutines — a writer draining a request
 // queue, and a demux completing pending requests out of a request-ID map —
 // so up to `window` exchanges pipeline over one socket and responses may
@@ -130,7 +130,7 @@ func (m *muxState) fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID
 	// Liveness: the demux reads without a deadline, so each fetch bounds its
 	// own wait. A hung peer fails every waiter and poisons the connection.
 	var timeout <-chan time.Time
-	if d := time.Duration(m.t.ioTimeout.Load()); d > 0 {
+	if d := m.t.ioTimeoutNow(); d > 0 {
 		tm := time.NewTimer(d)
 		defer tm.Stop()
 		timeout = tm.C
@@ -149,8 +149,7 @@ func (m *muxState) fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID
 		putPayloadBuf(rep.payload) // decodeLists copies into its slab
 		return lists, err
 	case <-timeout:
-		m.fail(fmt.Errorf("no response within %v: %w",
-			time.Duration(m.t.ioTimeout.Load()), os.ErrDeadlineExceeded))
+		m.fail(fmt.Errorf("no response within %v: %w", m.t.ioTimeoutNow(), os.ErrDeadlineExceeded))
 		return nil, m.err()
 	}
 }
@@ -218,7 +217,7 @@ func (m *muxState) writeLoop() {
 		select {
 		case req := <-m.sendq:
 			m.t.deadline(m.conn.c.SetWriteDeadline)
-			err := writeFrame(m.conn.w, m.conn.version, frameMuxRequest, req.payload, req.corrupt)
+			err := writeFrame(m.conn.w, frameMuxRequest, req.payload, req.corrupt)
 			if err == nil && len(m.sendq) == 0 {
 				err = m.conn.w.Flush()
 			}
@@ -255,7 +254,7 @@ func (m *muxState) readLoop() {
 			return
 		default:
 		}
-		typ, payload, err := readFramePooled(m.conn.r, m.conn.version)
+		typ, payload, err := readFramePooled(m.conn.r)
 		if err != nil {
 			if isCorrupt(err) {
 				if met := m.nodeMetrics(m.key.from); met != nil {
@@ -315,7 +314,7 @@ func (m *muxState) readLoop() {
 // slow edge list never head-of-line blocks the exchanges behind it. Worker
 // concurrency is bounded by the client's in-flight window (each outstanding
 // request holds a client-side token).
-func (t *TCP) serveMux(node int, c net.Conn, r *bufio.Reader, w *bufio.Writer, version uint8) {
+func (t *TCP) serveMux(node int, c net.Conn, r *bufio.Reader, w *bufio.Writer) {
 	type resp struct {
 		typ     uint8
 		payload []byte // pooled; the writer returns it
@@ -330,7 +329,7 @@ func (t *TCP) serveMux(node int, c net.Conn, r *bufio.Reader, w *bufio.Writer, v
 		for rp := range respq {
 			if !broken {
 				t.deadline(c.SetWriteDeadline)
-				err := writeFrame(w, version, rp.typ, rp.payload, -1)
+				err := writeFrame(w, rp.typ, rp.payload, -1)
 				if err == nil && len(respq) == 0 {
 					err = w.Flush()
 				}
@@ -348,7 +347,7 @@ read:
 	//khuzdulvet:ignore cancelpoll cancellation arrives as a socket close that fails the blocking read; respq sends cannot strand because the writer drains until close
 	for {
 		c.SetReadDeadline(time.Time{}) // clients legitimately idle between requests
-		typ, payload, err := readFramePooled(r, version)
+		typ, payload, err := readFramePooled(r)
 		if err != nil {
 			if isCorrupt(err) {
 				// A damaged frame may have eaten a request ID; reject at
@@ -398,10 +397,10 @@ read:
 				}
 			}()
 		default:
-			// Declared frame type, wrong plane (a serial REQUEST on a v3
-			// stream, a query frame on the data port). Classify the
-			// violation — count it and answer frameError — before
-			// abandoning the stream, so the peer fails loudly.
+			// Declared frame type, wrong plane (a query frame on the data
+			// port, a retired 0x03/0x04 code). Classify the violation —
+			// count it and answer frameError — before abandoning the
+			// stream, so the peer fails loudly.
 			putPayloadBuf(payload)
 			if t.m != nil {
 				t.m.Nodes[node].CorruptFrames.Add(1)

@@ -11,10 +11,9 @@ import (
 
 // Query-plane wire messages. The mining service (internal/service) keeps a
 // cluster resident and serves pattern queries over the same framed, CRC32C-
-// checked wire the fabric speaks. A query connection opens with the usual
-// HELLO/HELLO_ACK handshake — pinned to the multiplexed protocol generation,
-// because the query plane needs many exchanges in flight per connection —
-// and then carries four frame types:
+// checked wire the fabric speaks. A query connection opens with the same
+// HELLO/HELLO_ACK handshake as a fabric connection and then carries five
+// frame types, many queries in flight per connection:
 //
 //	QUERY_SUBMIT    client → server   query ID + deadline + pattern spec or plan ref
 //	QUERY_PROGRESS  server → client   query ID + running partial count
@@ -367,7 +366,6 @@ const QueryClientNode = 0xFFFFFFFF
 type QueryConn struct {
 	c       net.Conn
 	r       *bufio.Reader
-	version uint8
 	timeout time.Duration // per-write deadline; 0 disables
 
 	wmu sync.Mutex
@@ -376,10 +374,8 @@ type QueryConn struct {
 }
 
 // DialQuery connects to a query server and runs the client half of the
-// handshake. The offered version window starts at the multiplexed
-// generation: a serial-only peer is a version mismatch, not a fallback.
-// timeout bounds each socket write (and the handshake); 0 disables
-// deadlines.
+// handshake. timeout bounds each socket write (and the handshake); 0
+// disables deadlines.
 func DialQuery(addr string, timeout time.Duration) (*QueryConn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -388,72 +384,22 @@ func DialQuery(addr string, timeout time.Duration) (*QueryConn, error) {
 	q := &QueryConn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c), timeout: timeout}
 	// -1 encodes as the QueryClientNode sentinel in the HELLO's u32 node
 	// field.
-	q.deadline(c.SetWriteDeadline)
-	if err := writeFrame(q.w, ProtoVersionMux, frameHello, encodeHello(ProtoVersionMux, ProtoVersionMax, -1), -1); err != nil {
+	if err := clientHello(c, q.r, q.w, -1, timeout); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("comm: query handshake: %w", err)
 	}
-	if err := q.w.Flush(); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("comm: query handshake: %w", err)
-	}
-	q.deadline(c.SetReadDeadline)
-	typ, payload, err := readFrame(q.r, 0)
-	c.SetReadDeadline(time.Time{})
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("comm: query handshake: %w", err)
-	}
-	if typ != frameHelloAck || len(payload) != 1 || payload[0] < ProtoVersionMux {
-		c.Close()
-		return nil, fmt.Errorf("comm: query handshake: peer cannot speak the mux generation: %w", ErrVersionMismatch)
-	}
-	q.version = payload[0]
 	return q, nil
 }
 
 // AcceptQuery runs the server half of the handshake on an accepted
-// connection. The negotiated version must reach the multiplexed generation;
-// older peers get the connection closed (they are fabric clients on the
-// wrong port, or builds predating the query plane).
+// connection. A peer whose window excludes this build's version gets
+// ErrVersionMismatch; the caller closes the connection.
 func AcceptQuery(c net.Conn, timeout time.Duration) (*QueryConn, error) {
 	q := &QueryConn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c), timeout: timeout}
-	q.deadline(c.SetReadDeadline)
-	typ, payload, err := readFrame(q.r, 0)
-	c.SetReadDeadline(time.Time{})
-	if err != nil {
-		return nil, fmt.Errorf("comm: query handshake: %w", err)
-	}
-	if typ != frameHello {
-		return nil, fmt.Errorf("comm: query handshake: frame %#02x where HELLO expected: %w", typ, ErrCorruptFrame)
-	}
-	peerMin, peerMax, _, err := decodeHello(payload)
-	if err != nil {
-		return nil, err
-	}
-	version := negotiateVersion(ProtoVersionMux, ProtoVersionMax, peerMin, peerMax)
-	if version == 0 {
-		return nil, fmt.Errorf("comm: query handshake: peer window [%d,%d] below the mux generation: %w", peerMin, peerMax, ErrVersionMismatch)
-	}
-	q.version = version
-	q.deadline(c.SetWriteDeadline)
-	if err := writeFrame(q.w, version, frameHelloAck, []byte{version}, -1); err != nil {
-		return nil, fmt.Errorf("comm: query handshake: %w", err)
-	}
-	if err := q.w.Flush(); err != nil {
+	if err := serverHello(c, q.r, q.w, timeout); err != nil {
 		return nil, fmt.Errorf("comm: query handshake: %w", err)
 	}
 	return q, nil
-}
-
-// deadline arms a read or write deadline, or clears it when deadlines are
-// disabled.
-func (q *QueryConn) deadline(set func(time.Time) error) {
-	if q.timeout > 0 {
-		set(time.Now().Add(q.timeout))
-		return
-	}
-	set(time.Time{})
 }
 
 // Close severs the connection, unblocking any parked ReadMsg.
@@ -466,7 +412,7 @@ func (q *QueryConn) Close() error { return q.c.Close() }
 // peer or Close unblocks it. Any non-query frame after the handshake is a
 // protocol violation surfaced as ErrCorruptFrame.
 func (q *QueryConn) ReadMsg() (any, error) {
-	typ, payload, err := readFrame(q.r, q.version)
+	typ, payload, err := readFrame(q.r)
 	if err != nil {
 		return nil, err
 	}
@@ -514,8 +460,8 @@ func (q *QueryConn) writeMsg(typ uint8, encode func([]byte) []byte) error {
 	q.wmu.Lock()
 	defer q.wmu.Unlock()
 	q.buf = encode(q.buf[:0])
-	q.deadline(q.c.SetWriteDeadline)
-	if err := writeFrame(q.w, q.version, typ, q.buf, -1); err != nil {
+	setDeadline(q.c.SetWriteDeadline, q.timeout)
+	if err := writeFrame(q.w, typ, q.buf, -1); err != nil {
 		return err
 	}
 	return q.w.Flush()

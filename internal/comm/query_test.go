@@ -215,8 +215,9 @@ func TestQueryConnExchange(t *testing.T) {
 	}
 }
 
-// TestQueryConnRejectsSerialPeer: a client capped at the serial protocol
-// generation must be refused — the query plane needs multiplexing.
+// TestQueryConnRejectsSerialPeer: a client whose HELLO window excludes
+// protoVersion — here the retired serial generation [1,2] — is refused on
+// the query plane with ErrVersionMismatch.
 func TestQueryConnRejectsSerialPeer(t *testing.T) {
 	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -240,9 +241,8 @@ func TestQueryConnRejectsSerialPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// A serial-generation HELLO: window [1,2].
 	w := bufio.NewWriter(c)
-	if err := writeFrame(w, ProtoVersionMin, frameHello, encodeHello(ProtoVersionMin, ProtoVersionSerialMax, 0), -1); err != nil {
+	if err := writeFrame(w, frameHello, encodeHello(1, 2, 0), -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

@@ -14,9 +14,8 @@ import (
 )
 
 // dialHandshake raw-dials a fabric listener and runs the client half of the
-// version negotiation with the given ceiling, returning the framed
-// connection and the negotiated version.
-func dialHandshake(t *testing.T, addr string, maxVer uint8) (net.Conn, *bufio.Reader, *bufio.Writer, uint8) {
+// handshake, returning the framed connection.
+func dialHandshake(t *testing.T, addr string) (net.Conn, *bufio.Reader, *bufio.Writer) {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -24,93 +23,59 @@ func dialHandshake(t *testing.T, addr string, maxVer uint8) (net.Conn, *bufio.Re
 	}
 	r := bufio.NewReader(c)
 	w := bufio.NewWriter(c)
-	if err := writeFrame(w, ProtoVersionMin, frameHello, encodeHello(ProtoVersionMin, maxVer, 0), -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(r, 0)
-	if err != nil || typ != frameHelloAck || len(payload) != 1 {
+	if err := clientHello(c, r, w, 0, 5*time.Second); err != nil {
 		c.Close()
-		t.Fatalf("handshake: typ %#02x payload %d err %v", typ, len(payload), err)
+		t.Fatalf("handshake: %v", err)
 	}
-	return c, r, w, payload[0]
+	return c, r, w
 }
 
-// TestServeSerialRejectsUnexpectedFrameType: a frame whose type is declared
-// but has no business on a serial data-plane exchange must come back as an
-// explicit frameError (and count as a corrupt frame), not a silent close.
-func TestServeSerialRejectsUnexpectedFrameType(t *testing.T) {
-	leakcheck.Check(t)
-	g := graph.Path(8)
-	asg := partition.NewAssignment(2, 1)
-	m := metrics.NewCluster(2)
-	f, err := NewTCP(testServers(g, asg), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	c, r, w, version := dialHandshake(t, f.addrs[1], ProtoVersionSerialMax)
-	defer c.Close()
-	if version != ProtoVersionSerialMax {
-		t.Fatalf("negotiated version %d, want %d", version, ProtoVersionSerialMax)
-	}
-	if err := writeFrame(w, version, frameQuerySubmit, nil, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, _, err := readFrame(r, version)
-	if err != nil {
-		t.Fatalf("server hung up without classifying the violation: %v", err)
-	}
-	if typ != frameError {
-		t.Fatalf("got frame %#02x, want frameError", typ)
-	}
-	if m.Nodes[1].CorruptFrames.Load() == 0 {
-		t.Fatal("protocol violation not accounted as a corrupt frame")
-	}
-}
-
-// TestServeMuxRejectsUnexpectedFrameType is the v3 twin: a serial REQUEST on
-// a multiplexed stream is a protocol violation the server must answer with
-// frameError before abandoning the connection.
+// TestServeMuxRejectsUnexpectedFrameType: a frame whose type is declared but
+// has no business on a fabric connection — a query frame on the data port,
+// or a retired serial-exchange code — is a protocol violation the server
+// must answer with frameError (and count as a corrupt frame) before
+// abandoning the connection, not a silent close.
 func TestServeMuxRejectsUnexpectedFrameType(t *testing.T) {
 	leakcheck.Check(t)
-	g := graph.Path(8)
-	asg := partition.NewAssignment(2, 1)
-	m := metrics.NewCluster(2)
-	f, err := NewTCP(testServers(g, asg), m)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		typ  uint8
+	}{
+		{"query-submit", frameQuerySubmit},
+		{"retired-0x03", 0x03},
+		{"retired-0x04", 0x04},
 	}
-	defer f.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.Path(8)
+			asg := partition.NewAssignment(2, 1)
+			m := metrics.NewCluster(2)
+			f, err := NewTCP(testServers(g, asg), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
 
-	c, r, w, version := dialHandshake(t, f.addrs[1], ProtoVersionMax)
-	defer c.Close()
-	if version < ProtoVersionMux {
-		t.Fatalf("negotiated version %d, want ≥ %d", version, ProtoVersionMux)
-	}
-	if err := writeFrame(w, version, frameRequest, nil, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, _, err := readFrame(r, version)
-	if err != nil {
-		t.Fatalf("server hung up without classifying the violation: %v", err)
-	}
-	if typ != frameError {
-		t.Fatalf("got frame %#02x, want frameError", typ)
-	}
-	if m.Nodes[1].CorruptFrames.Load() == 0 {
-		t.Fatal("protocol violation not accounted as a corrupt frame")
+			c, r, w := dialHandshake(t, f.addrs[1])
+			defer c.Close()
+			if err := writeFrame(w, tc.typ, nil, -1); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			got, _, err := readFrame(r)
+			if err != nil {
+				t.Fatalf("server hung up without classifying the violation: %v", err)
+			}
+			if got != frameError {
+				t.Fatalf("got frame %#02x, want frameError", got)
+			}
+			if m.Nodes[1].CorruptFrames.Load() == 0 {
+				t.Fatal("protocol violation not accounted as a corrupt frame")
+			}
+		})
 	}
 }
 

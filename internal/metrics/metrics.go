@@ -42,7 +42,7 @@ type Node struct {
 	NodesSuspected     atomic.Uint64 // failure detector: peers this node's detector declared suspect
 	SpeculativeRanges  atomic.Uint64 // speculation: straggler root ranges this node re-executed speculatively
 	SpeculationWins    atomic.Uint64 // speculation: speculative re-executions that finished before the straggler
-	PipelinedFetches   atomic.Uint64 // transport: fetches completed over a multiplexed (v3) connection
+	PipelinedFetches   atomic.Uint64 // transport: fetches completed over a multiplexed TCP connection
 	InFlightFetches    atomic.Int64  // transport gauge: multiplexed requests outstanding from this node right now
 	InFlightPeak       atomic.Uint64 // transport: high-water mark of InFlightFetches
 	// PeakEmbeddings is the high-water mark of simultaneously allocated

@@ -195,7 +195,7 @@ type Result struct {
 	// the straggler.
 	SpeculationWins uint64
 	// PipelinedFetches is the number of remote fetches completed over a
-	// multiplexed (v3) TCP connection.
+	// multiplexed TCP connection (every TCP fetch; 0 on the chan fabric).
 	PipelinedFetches uint64
 	// InFlightPeak is the per-machine high-water mark of concurrently
 	// outstanding multiplexed requests.
