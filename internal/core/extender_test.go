@@ -51,7 +51,8 @@ func (handTriangle) Extend(s *plan.Scratch, level int, emb []graph.VertexID,
 		return out, out
 	case 2:
 		// e' contains two vertices: candidates are N(v0) ∩ N(v1) above v1.
-		out := setops.IntersectBounded(nil, getList(0), getList(1), emb[1], ^graph.VertexID(0))
+		var d setops.Dispatcher
+		out := d.Intersect(nil, getList(0), getList(1), emb[0], emb[1], emb[1]+1)
 		return out, out
 	default:
 		panic("handTriangle: bad level")

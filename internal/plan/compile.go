@@ -148,6 +148,9 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options) (*Plan, erro
 		annotateVCS(p)
 	}
 
+	// Symmetry-breaking bounds pushed into the set kernels.
+	annotateClip(p)
+
 	// Active positions and NeedsList.
 	annotateActive(p)
 
@@ -173,6 +176,23 @@ func annotateKernelHints(p *Plan) {
 	}
 }
 
+// annotateClip derives each level's Clip, backwards from the last level:
+// Clip[L] = LowerBounds[L], narrowed to LowerBounds[L] ∩ Clip[L+1] when
+// level L+1 reuses R_L (VCS). A stored intersection clipped harder than its
+// reusing child's bound would drop candidates the child needs; with
+// Clip[L] ⊆ Clip[L+1] the parent's bound never exceeds the child's, so the
+// clipped R_L still holds everything the child keeps.
+func annotateClip(p *Plan) {
+	for i := p.K - 1; i >= 1; i-- {
+		lv := &p.Levels[i]
+		for _, a := range lv.LowerBounds {
+			if !p.reused(i) || containsInt(p.Levels[i+1].Clip, a) {
+				lv.Clip = append(lv.Clip, a)
+			}
+		}
+	}
+}
+
 // annotateVCS marks ReuseSame / ReuseExtend / StoreInter.
 func annotateVCS(p *Plan) {
 	for i := 2; i < p.K; i++ {
@@ -193,42 +213,26 @@ func annotateVCS(p *Plan) {
 // lists an extendable embedding at that level must carry (the paper's active
 // vertices), plus the per-level NeedsList flag.
 func annotateActive(p *Plan) {
-	needed := make([]bool, p.K)
-	for i := 1; i < p.K; i++ {
-		for _, j := range p.Levels[i].Intersect {
-			needed[j] = true
-		}
-		for _, j := range p.Levels[i].Subtract {
-			needed[j] = true
-		}
-	}
-	for i := 0; i < p.K; i++ {
-		p.Levels[i].NeedsList = false
-	}
-	// NeedsList(i): position i's list is used by some level > i.
-	for i := 0; i < p.K; i++ {
-		used := false
+	// usedAfter reports whether position j's list is read by a level > i.
+	usedAfter := func(j, i int) bool {
 		for m := i + 1; m < p.K; m++ {
-			if containsInt(p.Levels[m].Intersect, i) || containsInt(p.Levels[m].Subtract, i) {
-				used = true
-				break
+			if containsInt(p.Levels[m].Intersect, j) || containsInt(p.Levels[m].Subtract, j) {
+				return true
 			}
 		}
-		p.Levels[i].NeedsList = used
+		return false
 	}
 	// Active(i): positions j ≤ i used by some level > i. Anti-monotone by
-	// construction, as the paper observes.
+	// construction, as the paper observes. NeedsList(i): i is active at i.
 	for i := 0; i < p.K; i++ {
 		var active []int
 		for j := 0; j <= i; j++ {
-			for m := i + 1; m < p.K; m++ {
-				if containsInt(p.Levels[m].Intersect, j) || containsInt(p.Levels[m].Subtract, j) {
-					active = append(active, j)
-					break
-				}
+			if usedAfter(j, i) {
+				active = append(active, j)
 			}
 		}
 		p.Levels[i].Active = active
+		p.Levels[i].NeedsList = usedAfter(i, i)
 	}
 }
 

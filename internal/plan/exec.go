@@ -71,9 +71,10 @@ func (s *Scratch) SetHubThreshold(t uint32) {
 func (s *Scratch) KernelCounts() *[setops.NumKernels]uint64 { return &s.kernels }
 
 // RawIntersect computes the raw candidate intersection for the given level:
-// ∩ N(emb[j]) over j in Levels[level].Intersect, honoring the plan's
-// vertical-computation-sharing annotations and the compiled kernel hints.
-// emb must hold the vertices matched at positions before level — the
+// ∩ N(emb[j]) over j in Levels[level].Intersect, clipped to the level's
+// symmetry-breaking bound (Level.Clip) before any kernel runs, honoring the
+// plan's vertical-computation-sharing annotations and the compiled kernel
+// hints. emb must hold the vertices matched at positions before level — the
 // dispatcher keys its hub-bitmap cache by vertex ID, which stays valid
 // however fetch buffers are recycled. getList(pos) must return the sorted
 // edge list of the vertex matched at position pos. parentRaw is the
@@ -83,32 +84,37 @@ func (s *Scratch) KernelCounts() *[setops.NumKernels]uint64 { return &s.kernels 
 func (p *Plan) RawIntersect(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID) []graph.VertexID {
 	lv := &p.Levels[level]
 	d := &s.disp[level]
+	lo := boundAbove(lv.Clip, emb)
 	if p.VCS && parentRaw != nil {
 		if lv.ReuseSame {
-			return parentRaw
+			return setops.Clip(parentRaw, lo)
 		}
 		if lv.ReuseExtend {
-			s.interA[level] = d.Intersect(s.interA[level][:0], parentRaw, getList(level-1), setops.NoVertex, emb[level-1])
+			s.interA[level] = d.Intersect(s.interA[level][:0], parentRaw, getList(level-1), setops.NoVertex, emb[level-1], lo)
 			return s.interA[level]
 		}
 	}
 	if len(lv.Intersect) == 1 {
-		return getList(lv.Intersect[0])
+		return setops.Clip(getList(lv.Intersect[0]), lo)
 	}
 	if lv.KernelHint == HintPivot {
 		s.pivot = s.pivot[:0]
 		for _, j := range lv.Intersect {
-			s.pivot = append(s.pivot, getList(j))
+			l := setops.Clip(getList(j), lo)
+			if len(l) == 0 {
+				return s.interA[level][:0]
+			}
+			s.pivot = append(s.pivot, l)
 		}
 		s.interA[level] = setops.IntersectPivot(s.interA[level][:0], s.pivot)
 		s.kernels[setops.KernelPivot]++
 		return s.interA[level]
 	}
 	j0, j1 := lv.Intersect[0], lv.Intersect[1]
-	a := d.Intersect(s.interA[level][:0], getList(j0), getList(j1), emb[j0], emb[j1])
+	a := d.Intersect(s.interA[level][:0], getList(j0), getList(j1), emb[j0], emb[j1], lo)
 	s.interA[level] = a
 	for _, j := range lv.Intersect[2:] {
-		b := d.Intersect(s.interB[level][:0], a, getList(j), setops.NoVertex, emb[j])
+		b := d.Intersect(s.interB[level][:0], a, getList(j), setops.NoVertex, emb[j], lo)
 		s.interB[level] = b
 		// Keep the freshest result in interA so the next round's [:0] reuse
 		// does not clobber it.
@@ -116,6 +122,19 @@ func (p *Plan) RawIntersect(s *Scratch, level int, emb []graph.VertexID, getList
 		a = b
 	}
 	return a
+}
+
+// boundAbove returns the inclusive lower bound max(emb[a]) + 1 over the
+// positions a, or 0 (unbounded) when there are none: v > emb[a] for every a
+// ⇔ v ≥ boundAbove.
+func boundAbove(positions []int, emb []graph.VertexID) graph.VertexID {
+	lo := graph.VertexID(0)
+	for _, a := range positions {
+		if emb[a]+1 > lo {
+			lo = emb[a] + 1
+		}
+	}
+	return lo
 }
 
 // Candidates filters the raw intersection into the final candidate set for
@@ -126,14 +145,9 @@ func (p *Plan) RawIntersect(s *Scratch, level int, emb []graph.VertexID, getList
 // recurses.
 func (p *Plan) Candidates(s *Scratch, level int, emb []graph.VertexID, raw []graph.VertexID, getList func(int) []graph.VertexID, labelOf LabelFunc) []graph.VertexID {
 	lv := &p.Levels[level]
-	// Inclusive lower bound from symmetry-breaking restrictions: v > emb[a]
-	// for all a in LowerBounds ⇔ v ≥ max(emb[a]) + 1.
-	lo := graph.VertexID(0)
-	for _, a := range lv.LowerBounds {
-		if emb[a]+1 > lo {
-			lo = emb[a] + 1
-		}
-	}
+	// The full symmetry-breaking bound: RawIntersect clipped only on Clip,
+	// which may be narrower, so this filter is the final guard.
+	lo := boundAbove(lv.LowerBounds, emb)
 
 	src := raw
 	if p.Induced && len(lv.Subtract) > 0 {

@@ -59,6 +59,17 @@ func (p *Plan) Explain() string {
 		for _, a := range lv.LowerBounds {
 			notes = append(notes, fmt.Sprintf("v%d > v%d", i, a))
 		}
+		if len(lv.Clip) > 0 {
+			terms := make([]string, len(lv.Clip))
+			for j, pos := range lv.Clip {
+				terms[j] = fmt.Sprintf("v%d", pos)
+			}
+			bound := strings.Join(terms, ", ")
+			if len(terms) > 1 {
+				bound = "max(" + bound + ")"
+			}
+			notes = append(notes, "from "+bound+"+1") // the set kernels' bound
+		}
 		if lv.StoreInter {
 			notes = append(notes, fmt.Sprintf("store R%d", i))
 		}

@@ -14,8 +14,10 @@ func TestExplainCliqueSchedule(t *testing.T) {
 	for _, want := range []string{
 		"for v0 in V:",
 		"for v1 in N(v0):",
-		"VCS",     // clique levels reuse intersections
-		"v1 > v0", // total-order symmetry breaking
+		"VCS",                    // clique levels reuse intersections
+		"v1 > v0",                // total-order symmetry breaking
+		"from v0+1",              // level 1's kernel bound
+		"from max(v0, v1, v2)+1", // level 3's kernel bound
 		"emit(v0..v3)",
 		"estimated cost:",
 	} {
@@ -56,5 +58,20 @@ func TestExplainCountOnlyNote(t *testing.T) {
 	pl := MustCompile(pattern.Triangle(), Options{Style: StyleAutomine})
 	if s := pl.Explain(); !strings.Contains(s, "counted directly") {
 		t.Errorf("Explain missing count-only note:\n%s", s)
+	}
+}
+
+func TestExplainShowsNarrowedClip(t *testing.T) {
+	// Diamond under GraphPi: level 2 extends R1 with no restriction of its
+	// own, so level 1 keeps its v1 > v0 filter but cannot clip R1 on it.
+	pl := MustCompile(pattern.Diamond(), Options{Style: StyleGraphPi})
+	lines := strings.Split(pl.Explain(), "\n")
+	for _, l := range lines {
+		if strings.Contains(l, "for v1 in") && (!strings.Contains(l, "v1 > v0") || strings.Contains(l, "from ")) {
+			t.Errorf("level 1 should filter on v1 > v0 without a kernel bound: %q", l)
+		}
+		if strings.Contains(l, "for v3 in") && !strings.Contains(l, "from v2+1") {
+			t.Errorf("level 3 should show its kernel bound: %q", l)
+		}
 	}
 }

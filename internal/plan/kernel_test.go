@@ -107,8 +107,23 @@ func TestPivotKernelMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// wheel returns a star of n vertices (hub 0) plus a ring over its leaves:
+// one hub of degree n-1 and n-1 triangles through it. A bare star has no
+// triangles, so every clipped intersection on it is empty and no kernel runs.
+func wheel(n int) *graph.Graph {
+	edges := make([]graph.Edge, 0, 2*(n-1))
+	for v := 1; v < n; v++ {
+		next := v + 1
+		if next == n {
+			next = 1
+		}
+		edges = append(edges, graph.Edge{U: 0, V: graph.VertexID(v)}, graph.Edge{U: graph.VertexID(v), V: graph.VertexID(next)})
+	}
+	return graph.FromEdges(n, edges)
+}
+
 func TestScratchKernelCountersAndOverride(t *testing.T) {
-	g := graph.Star(300) // hub degree ≥ derived threshold 128
+	g := wheel(300) // hub degree ≥ derived threshold 128
 	// DisableVCS so level 2 recomputes N(v0) ∩ N(v1) with real vertex keys;
 	// the VCS path intersects an unkeyed stored intermediate instead, which
 	// deliberately never hub-promotes.
@@ -119,7 +134,7 @@ func TestScratchKernelCountersAndOverride(t *testing.T) {
 	}
 	kc := e.Scratch().KernelCounts()
 	if kc[setops.KernelBitmap] == 0 {
-		t.Errorf("no bitmap invocations on a star graph; counts = %v", *kc)
+		t.Errorf("no bitmap invocations on a wheel graph; counts = %v", *kc)
 	}
 	// SetHubThreshold above the max degree turns the bitmap kernel off
 	// without touching the shared plan.

@@ -89,9 +89,12 @@ type Level struct {
 	Subtract []int
 	// LowerBounds lists earlier positions a with restriction emb[a] < v.
 	LowerBounds []int
-	// UpperBounds is unused by the stabilizer-chain scheme (restrictions
-	// always point forward) but kept for generality of hand-written plans.
-	UpperBounds []int
+	// Clip lists the positions whose matched vertices bound this level's
+	// raw intersection from below: the set kernels only produce elements
+	// above every emb[a], a in Clip. It is LowerBounds, narrowed to what a
+	// child level reusing the stored intersection also needs (see
+	// annotateClip), and always a subset of LowerBounds.
+	Clip []int
 	// ReuseSame marks that this level's raw intersection equals the parent
 	// level's stored intersection (no set operation needed at all).
 	ReuseSame bool
@@ -282,6 +285,11 @@ func (p *Plan) String() string {
 	return sb.String()
 }
 
+// reused reports whether level+1 reuses level's stored intersection (VCS).
+func (p *Plan) reused(level int) bool {
+	return p.VCS && level+1 < p.K && (p.Levels[level+1].ReuseSame || p.Levels[level+1].ReuseExtend)
+}
+
 // Validate checks internal consistency; compiled plans always pass, and
 // hand-written plans can use it as a safety net.
 func (p *Plan) Validate() error {
@@ -318,6 +326,13 @@ func (p *Plan) Validate() error {
 		}
 		if lv.ReuseSame && lv.ReuseExtend {
 			return fmt.Errorf("plan: level %d has both reuse modes", i)
+		}
+		// A stored intersection must keep everything its reusing child
+		// needs, so a parent may only clip on what the child clips on.
+		for _, a := range lv.Clip {
+			if !containsInt(lv.LowerBounds, a) || (p.reused(i) && !containsInt(p.Levels[i+1].Clip, a)) {
+				return fmt.Errorf("plan: level %d clips on position %d, outside its lower bounds %v or its reusing child's clip", i, a, lv.LowerBounds)
+			}
 		}
 	}
 	for _, r := range p.Restrictions {

@@ -298,6 +298,56 @@ func TestPlanStringAndValidate(t *testing.T) {
 	}
 }
 
+func TestClipFollowsReuseChain(t *testing.T) {
+	// K4 clips every level on all of its lower bounds: each child reuses
+	// its parent's intersection and bounds it at least as tightly.
+	k4 := MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi})
+	for i := 1; i < k4.K; i++ {
+		if lv := k4.Levels[i]; !equalInts(lv.Clip, lv.LowerBounds) {
+			t.Errorf("K4 level %d: clip %v, want its lower bounds %v", i, lv.Clip, lv.LowerBounds)
+		}
+	}
+	// Diamond: level 2 reuses R1 unbounded, so R1 must not be clipped.
+	dia := MustCompile(pattern.Diamond(), Options{Style: StyleGraphPi})
+	if lv := dia.Levels[1]; len(lv.LowerBounds) == 0 || len(lv.Clip) != 0 || !dia.Levels[2].ReuseExtend {
+		t.Errorf("diamond level 1: lower bounds %v, clip %v (level 2 reuse-extend %v); want bounds but no clip",
+			lv.LowerBounds, lv.Clip, dia.Levels[2].ReuseExtend)
+	}
+	// Without VCS nothing is reused, so every level clips on all its bounds.
+	novcs := MustCompile(pattern.Diamond(), Options{Style: StyleGraphPi, DisableVCS: true})
+	for i := 1; i < novcs.K; i++ {
+		if lv := novcs.Levels[i]; !equalInts(lv.Clip, lv.LowerBounds) {
+			t.Errorf("diamond without VCS, level %d: clip %v, want %v", i, lv.Clip, lv.LowerBounds)
+		}
+	}
+}
+
+func TestValidateRejectsBadClip(t *testing.T) {
+	withClip := func(pl *Plan, level int, clip ...int) *Plan {
+		bad := *pl
+		bad.Levels = append([]Level(nil), pl.Levels...)
+		bad.Levels[level].Clip = clip
+		return &bad
+	}
+	dia := MustCompile(pattern.Diamond(), Options{Style: StyleGraphPi})
+	if err := withClip(dia, 3, 1).Validate(); err == nil {
+		t.Error("Validate accepted a clip position that is not a lower bound")
+	}
+	// K4 level 3 reuses R2, which clips on v0 and v1; a level 3 clipped
+	// only on v0 would lose candidates R2 dropped.
+	k4 := MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi})
+	if err := withClip(k4, 3, 0).Validate(); err == nil {
+		t.Error("Validate accepted a parent clipped tighter than its reusing child")
+	}
+	if err := withClip(k4, 3).Validate(); err == nil {
+		t.Error("Validate accepted an unclipped child under a clipped parent")
+	}
+	// Narrowing a leaf level is always safe.
+	if err := withClip(dia, 3).Validate(); err != nil {
+		t.Errorf("Validate rejected a narrower leaf clip: %v", err)
+	}
+}
+
 func TestMaxActiveBounded(t *testing.T) {
 	pl := MustCompile(pattern.Clique(5), Options{Style: StyleGraphPi})
 	if ma := pl.MaxActive(); ma < 1 || ma > 4 {

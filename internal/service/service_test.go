@@ -265,6 +265,36 @@ func TestAdmissionRejection(t *testing.T) {
 	}
 }
 
+// TestResubmitOnReceiptNeverRefused pins the admission window's release
+// point: with a window of one, a client that submits its next query the
+// moment it reads a result must always be admitted. The server releases the
+// slot before writing the result frame; releasing it after (a deferred
+// release behind the write) lets the resubmit find the window still full.
+func TestResubmitOnReceiptNeverRefused(t *testing.T) {
+	leakcheck.Check(t)
+	_, srv := newTestServer(t, fastClusterConfig(), Config{MaxConcurrent: 1, WorkerBudget: 1})
+	cli, err := Dial(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	var want uint64
+	for i := 0; i < 200; i++ {
+		out, err := cli.Run(Spec{Pattern: "triangle"})
+		if err != nil {
+			t.Fatalf("query %d: %v (outcome %+v)", i, err, out)
+		}
+		if i == 0 {
+			want = out.Count
+		} else if out.Count != want {
+			t.Fatalf("query %d: count %d, want %d", i, out.Count, want)
+		}
+	}
+	if r := srv.Metrics().QueriesRejected.Load(); r != 0 {
+		t.Fatalf("QueriesRejected = %d, want 0", r)
+	}
+}
+
 // TestDisconnectCancelsMidRange is the cancellation-plumbing proof: a
 // client disconnect mid-run must abort the query — mid-range, abandoning
 // in-flight remote fetches — long before the run could finish on its own.

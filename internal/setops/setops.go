@@ -1,9 +1,10 @@
 // Package setops provides the sorted-set kernels at the heart of
-// pattern-aware enumeration: intersections, subtractions, and bounded
-// variants of both. Every adjacency list in this repository is a strictly
-// ascending []graph.VertexID, and every engine — the Khuzdul core, the
-// single-machine executors, and all baselines — funnels its per-level
-// candidate generation through these functions.
+// pattern-aware enumeration: intersections (optionally clipped to a
+// symmetry-breaking lower bound), subtractions and filters. Every adjacency
+// list in this repository is a strictly ascending []graph.VertexID, and
+// every engine — the Khuzdul core, the single-machine executors, and all
+// baselines — funnels its per-level candidate generation through these
+// functions.
 //
 // All functions append to dst and return the extended slice, so callers can
 // reuse buffers across calls. Inputs must be strictly ascending; outputs are
@@ -100,19 +101,6 @@ func IntersectMerge(dst, a, b []graph.VertexID) []graph.VertexID {
 	return dst
 }
 
-// IntersectGallop appends a ∩ b to dst, unconditionally driving the shorter
-// list through exponential + binary search in the longer one. Prefer
-// Intersect, which escalates to this kernel only past gallopRatio.
-func IntersectGallop(dst, a, b []graph.VertexID) []graph.VertexID {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return dst
-	}
-	return gallopIntersect(dst, a, b)
-}
-
 // gallopTo returns the first index j ≥ lo with b[j] ≥ x, by exponential
 // probe from lo followed by binary search — O(log d) where d is the distance
 // advanced, the property every galloping kernel here leans on.
@@ -157,37 +145,6 @@ func gallopIntersect(dst, a, b []graph.VertexID) []graph.VertexID {
 		}
 	}
 	return dst
-}
-
-// IntersectBounded appends {x ∈ a ∩ b : lo < x < hi} to dst. Bounds encode
-// symmetry-breaking restrictions; pass 0 for no lower bound and
-// ^graph.VertexID(0) for no upper bound. Bounds are exclusive.
-//
-// The shorter list is clipped to (lo, hi) up front, then the intersection
-// escalates to galloping search exactly like Intersect when the remaining
-// sizes are lopsided — a bounded scan against a hub list no longer pays the
-// full long-list walk.
-func IntersectBounded(dst, a, b []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	// lo = all-ones admits nothing above it; lo+1 ≥ hi means the open
-	// interval (lo, hi) is empty. The explicit all-ones check also keeps the
-	// lo+1 below from wrapping.
-	if len(a) == 0 || lo == ^graph.VertexID(0) || lo+1 >= hi {
-		return dst
-	}
-	a = a[gallopTo(a, 0, lo+1):]
-	if end := gallopTo(a, 0, hi); end < len(a) {
-		a = a[:end]
-	}
-	if len(a) == 0 {
-		return dst
-	}
-	if len(b) >= gallopRatio*len(a) {
-		return gallopIntersect(dst, a, b)
-	}
-	return IntersectMerge(dst, a, b)
 }
 
 // Bitmap is a dense bitset over vertex IDs, rebuilt per hub vertex and
@@ -315,37 +272,52 @@ type Dispatcher struct {
 	hasLast  bool
 }
 
-// Intersect appends a ∩ b to dst through the selected kernel. av and bv name
-// the vertices owning a and b (NoVertex when the list is not an adjacency
-// list); the hub cache is keyed by vertex ID, which stays valid however the
-// underlying buffers are recycled.
-func (d *Dispatcher) Intersect(dst, a, b []graph.VertexID, av, bv graph.VertexID) []graph.VertexID {
+// Intersect appends {x ∈ a ∩ b : x ≥ lo} to dst through the selected
+// kernel. av and bv name the vertices owning a and b (NoVertex when the list
+// is not an adjacency list); the hub cache is keyed by vertex ID, which stays
+// valid however the underlying buffers are recycled.
+//
+// lo is the inclusive lower bound a plan level's symmetry-breaking
+// restrictions impose; omitted or 0 means unbounded. Both inputs are clipped
+// to it by binary search before any kernel runs, and when either clipped
+// side is empty the call returns without running or counting a kernel. Hub
+// promotion still keys on the full lists and Bitmap.Build still loads the
+// full hub list, so the per-level bitmap cache is shared across bounds; only
+// the probe side is clipped.
+func (d *Dispatcher) Intersect(dst, a, b []graph.VertexID, av, bv graph.VertexID, lo ...graph.VertexID) []graph.VertexID {
 	if len(a) > len(b) {
 		a, b = b, a
 		av, bv = bv, av
 	}
-	if len(a) == 0 {
+	ca, cb := a, b
+	if len(lo) > 0 {
+		ca, cb = Clip(a, lo[0]), Clip(b, lo[0])
+	}
+	if len(ca) == 0 || len(cb) == 0 {
 		return dst
 	}
 	if d.HubThreshold > 0 && bv != NoVertex && len(b) >= d.HubThreshold {
 		if d.hasBuilt && d.builtFor == bv {
 			d.count(KernelBitmap)
-			return IntersectBitmap(dst, a, &d.bm)
+			return IntersectBitmap(dst, ca, &d.bm)
 		}
 		if d.hasLast && d.lastHub == bv {
 			d.bm.Build(b)
 			d.builtFor, d.hasBuilt = bv, true
 			d.count(KernelBitmap)
-			return IntersectBitmap(dst, a, &d.bm)
+			return IntersectBitmap(dst, ca, &d.bm)
 		}
 		d.lastHub, d.hasLast = bv, true
 	}
-	if len(b) >= gallopRatio*len(a) {
+	if len(ca) > len(cb) {
+		ca, cb = cb, ca
+	}
+	if len(cb) >= gallopRatio*len(ca) {
 		d.count(KernelGallop)
-		return gallopIntersect(dst, a, b)
+		return gallopIntersect(dst, ca, cb)
 	}
 	d.count(KernelMerge)
-	return IntersectMerge(dst, a, b)
+	return IntersectMerge(dst, ca, cb)
 }
 
 func (d *Dispatcher) count(k Kernel) {
@@ -390,6 +362,21 @@ func Filter(dst, a []graph.VertexID, lo, hi graph.VertexID, excl []graph.VertexI
 
 // Contains reports whether sorted list a contains x, via binary search.
 func Contains(a []graph.VertexID, x graph.VertexID) bool {
+	i := lowerBound(a, x)
+	return i < len(a) && a[i] == x
+}
+
+// Clip returns the suffix of sorted list a holding the elements ≥ lo, by
+// binary search; lo 0 returns a unchanged. The result aliases a.
+func Clip(a []graph.VertexID, lo graph.VertexID) []graph.VertexID {
+	if lo == 0 {
+		return a
+	}
+	return a[lowerBound(a, lo):]
+}
+
+// lowerBound returns the first index i with a[i] ≥ x (len(a) if none).
+func lowerBound(a []graph.VertexID, x graph.VertexID) int {
 	l, r := 0, len(a)
 	for l < r {
 		m := int(uint(l+r) >> 1)
@@ -399,7 +386,7 @@ func Contains(a []graph.VertexID, x graph.VertexID) bool {
 			r = m
 		}
 	}
-	return l < len(a) && a[l] == x
+	return l
 }
 
 // contains is linear scan over a tiny unsorted slice.
@@ -433,43 +420,4 @@ func IntersectMany(dst []graph.VertexID, lists [][]graph.VertexID, scratch []gra
 		cur = Intersect(cur[:0], cur, lists[i])
 	}
 	return Intersect(dst, cur, lists[len(lists)-1])
-}
-
-// CountIntersect returns |a ∩ b| without materializing the result.
-func CountIntersect(a, b []graph.VertexID) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	n := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-// CountGreater returns |{x ∈ a : x > lo}|.
-func CountGreater(a []graph.VertexID, lo graph.VertexID) int {
-	l, r := 0, len(a)
-	for l < r {
-		m := int(uint(l+r) >> 1)
-		if a[m] <= lo {
-			l = m + 1
-		} else {
-			r = m
-		}
-	}
-	return len(a) - l
 }

@@ -69,15 +69,17 @@ func TestIntersectAppendsToDst(t *testing.T) {
 	}
 }
 
-func TestIntersectBounded(t *testing.T) {
+func TestDispatcherBounded(t *testing.T) {
+	var d Dispatcher
 	a, b := ids(1, 2, 3, 4, 5, 6), ids(2, 3, 4, 5, 7)
-	if got := IntersectBounded(nil, a, b, 2, 5); !equal(got, ids(3, 4)) {
-		t.Fatalf("bounded = %v, want [3 4]", got)
+	if got := d.Intersect(nil, a, b, NoVertex, NoVertex, 3); !equal(got, ids(3, 4, 5)) {
+		t.Fatalf("bounded = %v, want [3 4 5]", got)
 	}
-	none := graph.VertexID(0)
-	all := ^graph.VertexID(0)
-	if got := IntersectBounded(nil, a, b, none, all); !equal(got, ids(2, 3, 4, 5)) {
-		t.Fatalf("unbounded = %v", got)
+	if got := d.Intersect(nil, a, b, NoVertex, NoVertex, 0); !equal(got, ids(2, 3, 4, 5)) {
+		t.Fatalf("lo 0 = %v, want the full intersection", got)
+	}
+	if got := d.Intersect(nil, a, b, NoVertex, NoVertex); !equal(got, ids(2, 3, 4, 5)) {
+		t.Fatalf("no lo = %v, want the full intersection", got)
 	}
 }
 
@@ -137,29 +139,6 @@ func TestIntersectMany(t *testing.T) {
 	}
 }
 
-func TestCountIntersect(t *testing.T) {
-	a, b := ids(1, 3, 5, 7), ids(3, 4, 5, 6, 7, 8)
-	if got := CountIntersect(a, b); got != 3 {
-		t.Fatalf("CountIntersect = %d, want 3", got)
-	}
-	if got := CountIntersect(nil, b); got != 0 {
-		t.Fatalf("CountIntersect nil = %d", got)
-	}
-}
-
-func TestCountGreater(t *testing.T) {
-	a := ids(1, 3, 5, 7)
-	if got := CountGreater(a, 3); got != 2 {
-		t.Fatalf("CountGreater(3) = %d, want 2", got)
-	}
-	if got := CountGreater(a, 0); got != 4 {
-		t.Fatalf("CountGreater(0) = %d, want 4", got)
-	}
-	if got := CountGreater(a, 7); got != 0 {
-		t.Fatalf("CountGreater(7) = %d, want 0", got)
-	}
-}
-
 // randSorted produces a strictly ascending random list.
 func randSorted(rng *rand.Rand, n, max int) []graph.VertexID {
 	seen := map[int]bool{}
@@ -171,6 +150,18 @@ func randSorted(rng *rand.Rand, n, max int) []graph.VertexID {
 		out = append(out, graph.VertexID(x))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// atLeast returns the elements of a that are ≥ lo, the reference for the
+// dispatcher's clipped intersection.
+func atLeast(a []graph.VertexID, lo graph.VertexID) []graph.VertexID {
+	var out []graph.VertexID
+	for _, x := range a {
+		if x >= lo {
+			out = append(out, x)
+		}
+	}
 	return out
 }
 
@@ -194,18 +185,7 @@ func TestPropertyIntersectMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randSorted(rng, rng.Intn(50), 200)
 		b := randSorted(rng, rng.Intn(2000), 4000)
-		got := Intersect(nil, a, b)
-		want := refIntersect(a, b)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		// Count must agree with materialized length.
-		return CountIntersect(a, b) == len(want)
+		return equal(Intersect(nil, a, b), refIntersect(a, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -243,19 +223,8 @@ func TestPropertyBoundedSubsetOfIntersect(t *testing.T) {
 		a := randSorted(rng, rng.Intn(80), 200)
 		b := randSorted(rng, rng.Intn(80), 200)
 		lo := graph.VertexID(rng.Intn(200))
-		hi := lo + graph.VertexID(rng.Intn(100))
-		got := IntersectBounded(nil, a, b, lo, hi)
-		full := Intersect(nil, a, b)
-		j := 0
-		for _, x := range full {
-			if x > lo && x < hi {
-				if j >= len(got) || got[j] != x {
-					return false
-				}
-				j++
-			}
-		}
-		return j == len(got)
+		var d Dispatcher
+		return equal(d.Intersect(nil, a, b, NoVertex, NoVertex, lo), atLeast(Intersect(nil, a, b), lo))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -324,8 +293,8 @@ func BenchmarkIntersectMany(b *testing.B) {
 // --- pattern-aware kernel tests -----------------------------------------
 
 func TestIntersectMergeGallopAgree(t *testing.T) {
-	// The exported unconditional kernels must agree with the reference on
-	// the same inputs Intersect sees, including both argument orders.
+	// The unconditional kernels must agree with the reference on the same
+	// inputs Intersect sees, including both argument orders.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randSorted(rng, rng.Intn(60), 300)
@@ -333,8 +302,8 @@ func TestIntersectMergeGallopAgree(t *testing.T) {
 		want := refIntersect(a, b)
 		return equal(IntersectMerge(nil, a, b), want) &&
 			equal(IntersectMerge(nil, b, a), want) &&
-			equal(IntersectGallop(nil, a, b), want) &&
-			equal(IntersectGallop(nil, b, a), want)
+			equal(gallopIntersect(nil, a, b), want) &&
+			equal(gallopIntersect(nil, b, a), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -489,59 +458,79 @@ func TestDispatcherPromotesHubOnSecondTouch(t *testing.T) {
 	}
 }
 
-func TestIntersectBoundedGallopPath(t *testing.T) {
+func TestDispatcherBoundedGallopPath(t *testing.T) {
 	// Lopsided sizes must agree with the linear reference on bounds,
-	// including lo/hi edge values, the exclusive-bound semantics, and the
-	// lo = all-ones / empty-interval guards.
+	// including edge values: a bound on an element (inclusive), between
+	// elements, past the last element, and all-ones.
 	long := make([]graph.VertexID, 20000)
 	for i := range long {
 		long[i] = graph.VertexID(2 * i)
 	}
 	short := ids(0, 2, 5, 1000, 39998)
-	ref := func(a, b []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
-		var out []graph.VertexID
-		for _, x := range refIntersect(a, b) {
-			if x > lo && x < hi {
-				out = append(out, x)
-			}
-		}
-		return out
-	}
-	cases := []struct{ lo, hi graph.VertexID }{
-		{0, ^graph.VertexID(0)}, {0, 1000}, {2, 39998}, {1000, 1000},
-		{39998, ^graph.VertexID(0)}, {^graph.VertexID(0), ^graph.VertexID(0)}, {5, 0},
-	}
-	for _, c := range cases {
-		got := IntersectBounded(nil, short, long, c.lo, c.hi)
-		want := ref(short, long, c.lo, c.hi)
-		if !equal(got, want) {
-			t.Errorf("IntersectBounded(lo=%d, hi=%d) = %v, want %v", c.lo, c.hi, got, want)
+	for _, lo := range []graph.VertexID{0, 1, 2, 3, 1000, 1001, 39998, 39999, ^graph.VertexID(0)} {
+		var counts [NumKernels]uint64
+		d := Dispatcher{Counts: &counts}
+		want := atLeast(refIntersect(short, long), lo)
+		if got := d.Intersect(nil, short, long, NoVertex, NoVertex, lo); !equal(got, want) {
+			t.Errorf("lo=%d: %v, want %v", lo, got, want)
 		}
 		// Swapped argument order takes the same clipped path.
-		if got := IntersectBounded(nil, long, short, c.lo, c.hi); !equal(got, want) {
-			t.Errorf("IntersectBounded swapped (lo=%d, hi=%d) = %v, want %v", c.lo, c.hi, got, want)
+		if got := d.Intersect(nil, long, short, NoVertex, NoVertex, lo); !equal(got, want) {
+			t.Errorf("swapped lo=%d: %v, want %v", lo, got, want)
+		}
+		// A bound past the short list's last element leaves nothing to
+		// intersect: no kernel runs or is counted.
+		if ran := counts[KernelMerge] + counts[KernelGallop]; (lo > 39998) != (ran == 0) {
+			t.Errorf("lo=%d: %d kernel calls counted, counts = %v", lo, ran, counts)
 		}
 	}
 }
 
+func TestDispatcherBoundedKeysHubOnFullList(t *testing.T) {
+	// The hub list is above the threshold but its clipped tail is not:
+	// promotion still keys on the full list, the bitmap is built from it,
+	// and only the probe side is clipped.
+	var counts [NumKernels]uint64
+	d := Dispatcher{HubThreshold: 6, Counts: &counts}
+	hub := ids(1, 2, 3, 4, 5, 6, 7, 8)
+	probe := ids(2, 5, 7, 9)
+	for touch := 0; touch < 3; touch++ {
+		if got := d.Intersect(nil, probe, hub, NoVertex, 7, 5); !equal(got, ids(5, 7)) {
+			t.Fatalf("touch %d = %v, want [5 7]", touch, got)
+		}
+	}
+	if counts[KernelBitmap] != 2 {
+		t.Fatalf("bitmap count = %d, want 2 (second and third touch); counts = %v", counts[KernelBitmap], counts)
+	}
+	// The cached bitmap serves a looser bound on the same hub unchanged.
+	if got := d.Intersect(nil, probe, hub, NoVertex, 7, 0); !equal(got, ids(2, 5, 7)) {
+		t.Fatalf("unbounded probe of the cached hub = %v", got)
+	}
+	// An empty clipped probe returns before the hub cache is touched.
+	if got := d.Intersect(nil, probe, hub, NoVertex, 7, 10); len(got) != 0 || counts[KernelBitmap] != 3 {
+		t.Fatalf("lo past the probe: %v, counts = %v", got, counts)
+	}
+}
+
 func TestPropertyBoundedMatchesReference(t *testing.T) {
+	// Random bounds through every kernel: lopsided sizes take the gallop
+	// path, balanced ones the merge, and a repeated hub the bitmap.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := randSorted(rng, rng.Intn(30), 200)
-		b := randSorted(rng, rng.Intn(3000), 6000) // lopsided: gallop path
-		lo := graph.VertexID(rng.Intn(200))
-		hi := lo + graph.VertexID(rng.Intn(100))
-		got := IntersectBounded(nil, a, b, lo, hi)
-		j := 0
-		for _, x := range refIntersect(a, b) {
-			if x > lo && x < hi {
-				if j >= len(got) || got[j] != x {
-					return false
-				}
-				j++
+		d := Dispatcher{HubThreshold: rng.Intn(2) * (1 + rng.Intn(64))}
+		hub := randSorted(rng, 200+rng.Intn(3000), 6000)
+		for step := 0; step < 10; step++ {
+			a := randSorted(rng, rng.Intn(30), 6000)
+			b, bv := hub, graph.VertexID(3)
+			if rng.Intn(3) == 0 {
+				b, bv = randSorted(rng, rng.Intn(60), 6000), NoVertex
+			}
+			lo := graph.VertexID(rng.Intn(6500))
+			if !equal(d.Intersect(nil, a, b, NoVertex, bv, lo), atLeast(refIntersect(a, b), lo)) {
+				return false
 			}
 		}
-		return j == len(got)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -599,16 +588,17 @@ func TestDispatcherNoAlloc(t *testing.T) {
 	}
 }
 
-func TestIntersectBoundedNoAlloc(t *testing.T) {
+func TestDispatcherBoundedNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randSorted(rng, 30, 2000)
 	b := randSorted(rng, 2000, 40000)
+	var d Dispatcher
 	dst := make([]graph.VertexID, 0, 30)
 	allocs := testing.AllocsPerRun(50, func() {
-		dst = IntersectBounded(dst[:0], a, b, 100, 1900)
+		dst = d.Intersect(dst[:0], a, b, NoVertex, NoVertex, 100)
 	})
 	if allocs != 0 {
-		t.Fatalf("IntersectBounded allocated %.0f times per run with warm dst, want 0", allocs)
+		t.Fatalf("bounded dispatcher intersection allocated %.0f times per run with warm dst, want 0", allocs)
 	}
 }
 
